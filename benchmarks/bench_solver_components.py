@@ -2,8 +2,8 @@
 
 Not a paper artifact per se, but the substrate behind Figure 7: it
 separates LP *construction* cost from LP *solve* cost and measures our
-from-scratch simplex (the lp_solve stand-in) against HiGHS on identical
-program-(7) instances.
+from-scratch revised simplex (the lp_solve stand-in) against HiGHS on
+identical program-(7) instances.
 """
 
 import numpy as np
@@ -12,8 +12,8 @@ from repro.core.problem import SteadyStateProblem
 from repro.experiments import sample_settings, spec_for
 from repro.experiments.config import DEFAULT_SCENARIO, payoffs_for
 from repro.lp.builder import build_lp
+from repro.lp.revised import revised_solve
 from repro.lp.scipy_backend import solve_lp_scipy
-from repro.lp.simplex import simplex_solve
 from repro.platform.generator import generate_platform
 
 from benchmarks.conftest import banner, full_scale
@@ -49,20 +49,19 @@ def test_lp_solve_highs(benchmark):
 
 
 def test_simplex_standin_matches_highs(benchmark):
-    # Dense tableau: keep it small.
     problem = _problem(5, seed=12)
     instance = build_lp(problem)
     reference = solve_lp_scipy(instance)
     dense = instance.A_ub.toarray()
 
     result = benchmark.pedantic(
-        simplex_solve,
-        args=(instance.obj, dense, instance.b_ub, instance.bounds_list()),
+        revised_solve,
+        args=(instance.obj, dense, instance.b_ub, (instance.lb, instance.ub)),
         rounds=3,
         iterations=1,
     )
     banner(
-        "component - from-scratch simplex (lp_solve stand-in)",
+        "component - from-scratch revised simplex (lp_solve stand-in)",
         "paper solved its LPs with the lp_solve Simplex package",
     )
     print(

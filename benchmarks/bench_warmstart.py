@@ -1,8 +1,8 @@
 """Warm-started LP re-solve subsystem: cold vs warm on the K^2 hot path.
 
 The paper's Figure 7 prices LPRR at ~K(K-1) LP solves; PR 2 makes every
-one of those solves share a session (in-place mutation + presolve +
-optimal-basis carry, :mod:`repro.lp.session`). This benchmark is the
+one of those solves share a session (in-place mutation + optimal-basis
+carry, :mod:`repro.lp.session`). This benchmark is the
 regression gate for that subsystem:
 
 * warm LPRR must produce **bitwise-identical allocations** to the cold
@@ -13,9 +13,9 @@ regression gate for that subsystem:
 * warm LPRR must spend **strictly fewer simplex iterations** than cold,
   and at least 30% fewer over the sweep;
 * the warm session path must beat the cold-HiGHS-per-solve reference
-  (``lp_backend="scipy"``) in wall-clock **at every K** — the revised
-  engine retired the dense-tableau size cliff, so there is no longer a
-  K past which the session loses;
+  (``lp_backend="scipy"``) in wall-clock **at every K** on this ladder
+  — each pivot costs one FTRAN/BTRAN pair against the factorized basis,
+  so no K here is past the point where the session loses;
 * iterated LPRG (incremental ``b_ub`` rewrite instead of platform
   snapshot + full rebuild) re-solves cold each round — a residual
   rewrite moves the optimum wholesale, so basis carry does not pay
@@ -92,8 +92,8 @@ def _sweep(k_values, seeds) -> dict:
             # The revised engine canonicalizes every optimal vertex
             # (secondary objective over the optimal face), so warm and
             # cold take identical intermediate vertices at every K on
-            # this pinned sweep — including K >= 8, which broke the old
-            # tableau path. A failure here means a code change moved a
+            # this pinned sweep — including K >= 8, where degenerate
+            # optima are common. A failure here means a code change moved a
             # vertex: inspect it before touching the pins.
             assert same, (
                 f"warm/cold LPRR allocations diverged at K={k} seed={seed}"
@@ -145,7 +145,7 @@ def test_warmstart_regression(benchmark):
 
     banner(
         "PR 2 / warm-started LP re-solves (LPSession) on the K^2 hot path",
-        "Figure 7 costs LPRR ~K(K-1) LP solves; basis reuse + presolve must "
+        "Figure 7 costs LPRR ~K(K-1) LP solves; basis reuse must "
         "cut the simplex work without changing a single output byte.",
     )
     print(f"{'K':>3} {'iters cold':>11} {'iters warm':>11} {'saved':>7} "

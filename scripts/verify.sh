@@ -17,7 +17,7 @@
 # BENCH_warmstart.json.
 #
 # The simplex-core step gates the revised engine (repro/lp/revised.py +
-# repro/lp/basis_lu.py): the engine/session/tableau suites run
+# repro/lp/basis_lu.py): the engine/simplex/session suites run
 # explicitly, and the core smoke (bench_simplex_core.py) asserts the
 # LU-factorized warm chains beat cold HiGHS on large-K LPRR pin chains
 # and on B&B bound-flip chains; it refreshes BENCH_simplex_core.json.

@@ -85,7 +85,7 @@ class BranchAndBoundExact(Heuristic):
     name = "bnb"
     aliases = ("branch-and-bound",)
     description = "exact optimum via LP-based branch-and-bound (small K)"
-    option_names = ("lp_engine", "max_nodes", "warm_start")
+    option_names = ("max_nodes", "warm_start")
     uses_lp = True
     deterministic = True
 
@@ -95,14 +95,10 @@ class BranchAndBoundExact(Heuristic):
         rng: np.random.Generator,
         max_nodes: int = 10_000,
         warm_start: bool = True,
-        lp_engine: str = "revised",
         **kwargs,
     ) -> HeuristicResult:
         result = solve_branch_and_bound(
-            build_lp(problem),
-            max_nodes=max_nodes,
-            warm_start=warm_start,
-            engine=lp_engine,
+            build_lp(problem), max_nodes=max_nodes, warm_start=warm_start
         )
         if result.solution is None:
             raise SolverError("branch-and-bound found no integral solution")

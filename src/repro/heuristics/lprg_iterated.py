@@ -10,7 +10,7 @@ iterations sit between LPRG (1 solve) and LPRR (~K^2 solves) on the
 cost/quality spectrum of Figure 7 — the natural "what's between LPRG and
 LPRR?" question the paper leaves open.
 
-With ``lp_backend="auto"``/``"session"`` the residual re-solves run
+With ``lp_backend="session"`` (the default) the residual re-solves run
 through an :class:`~repro.lp.session.LPSession`: instead of
 snapshotting the ledger into a fresh ``Platform`` and re-assembling the
 whole LP each round (``residual_platform`` + ``build_lp``), the session
@@ -150,9 +150,7 @@ class IteratedLPRGHeuristic(Heuristic):
     description = "iterated LPRG: residual LP re-solves between roundings (extension)"
     option_names = (
         "lp_backend",
-        "lp_engine",
         "max_iters",
-        "share_bases",
         "warm_start",
     )
     uses_lp = True
@@ -164,9 +162,7 @@ class IteratedLPRGHeuristic(Heuristic):
         rng: np.random.Generator,
         max_iters: int = 4,
         warm_start: bool = True,
-        lp_backend: str = "auto",
-        lp_engine: str = "revised",
-        share_bases: bool = False,
+        lp_backend: str = "session",
         **kwargs,
     ) -> HeuristicResult:
         if max_iters < 1:
@@ -178,16 +174,11 @@ class IteratedLPRGHeuristic(Heuristic):
         n_solves = 0
 
         instance = build_lp(problem)
-        lp_backend = resolve_lp_backend(instance, lp_backend, lp_engine)
-        meta = {"lp_backend": lp_backend, "lp_engine": lp_engine}
+        lp_backend = resolve_lp_backend(lp_backend)
+        meta = {"lp_backend": lp_backend}
 
         if lp_backend == "session":
-            session = LPSession(
-                instance,
-                warm_start=warm_start,
-                engine=lp_engine,
-                share_bases=share_bases,
-            )
+            session = LPSession(instance, warm_start=warm_start)
             updater = _ResidualUpdater(problem, instance)
             for _ in range(max_iters):
                 updater.apply(ledger, total.throughputs)

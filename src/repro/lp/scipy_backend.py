@@ -1,7 +1,11 @@
 """HiGHS backend for the rational relaxation (scipy.optimize.linprog).
 
-This is the production solver; the paper used the ``lp_solve`` Simplex
-package, for which :mod:`repro.lp.simplex` is the in-repo stand-in.
+The paper used the ``lp_solve`` Simplex package; the in-repo
+stand-in is the revised simplex (:mod:`repro.lp.revised`, run through
+:class:`repro.lp.session.LPSession`). HiGHS is the independent oracle
+the tests check that engine against, the backend of LPR/LPRG/LP-bound
+solves and ``lp_backend="scipy"``, and the session's rescue path when
+the simplex stalls.
 """
 
 from __future__ import annotations

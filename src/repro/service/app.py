@@ -71,21 +71,31 @@ from repro.service.errors import ServiceError
 from repro.service.jobstore import JobRecord, JobStore, open_job_store
 from repro.service.pool import SolverPool
 from repro.service.sse import TERMINAL_EVENTS, JobEventBroker
+from repro.util.errors import SolverError
 
 
 def _config_from(payload: dict, force_stream: bool = False) -> SolverConfig:
-    """Build the request's :class:`SolverConfig` (partial dicts fine)."""
-    data = dict(payload.get("config") or {})
-    if "method" not in data and payload.get("method") is not None:
-        data["method"] = payload["method"]
-    if force_stream:
-        data["stream"] = True
-    if int(data.get("shards", 1)) > 1:
-        raise ServiceError(
-            "shards > 1 is not available through the service: sharded "
-            "rows fold inside the shard executors and cannot stream"
-        )
-    return SolverConfig.from_dict(data)
+    """Build the request's :class:`SolverConfig` (partial dicts fine).
+
+    A config the facade rejects — unknown names (with the did-you-mean
+    hint), bad values, wrong types — is the client's error: 400.
+    """
+    try:
+        data = dict(payload.get("config") or {})
+        if "method" not in data and payload.get("method") is not None:
+            data["method"] = payload["method"]
+        if force_stream:
+            data["stream"] = True
+        if int(data.get("shards", 1)) > 1:
+            raise ServiceError(
+                "shards > 1 is not available through the service: sharded "
+                "rows fold inside the shard executors and cannot stream"
+            )
+        return SolverConfig.from_dict(data)
+    except ServiceError:
+        raise
+    except (SolverError, ValueError, TypeError) as exc:
+        raise ServiceError(f"invalid config: {exc}", status=400) from None
 
 
 def _setting_from_dict(data: dict):

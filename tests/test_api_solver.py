@@ -207,6 +207,8 @@ class TestSolverConfig:
     def test_bad_lp_backend(self):
         with pytest.raises(SolverError, match="lp_backend"):
             SolverConfig(lp_backend="cplex")
+        with pytest.raises(SolverError, match="lp_backend"):
+            SolverConfig(lp_backend="auto")  # retired: "session" is the default
 
     def test_bad_jobs_and_chunk(self):
         with pytest.raises(SolverError):
@@ -263,13 +265,10 @@ class TestSolverConfig:
         assert lprr.method_kwargs() == {
             "eager_integer_fixing": False,
             "warm_start": False,
-            "lp_backend": "auto",
-            "lp_engine": "revised",
-            "share_bases": False,
+            "lp_backend": "session",
         }
         bnb = SolverConfig(method="bnb").method_kwargs()
-        assert "lp_backend" not in bnb and bnb["warm_start"] is True
-        assert bnb["lp_engine"] == "revised" and "share_bases" not in bnb
+        assert bnb == {"max_nodes": 10_000, "warm_start": True}
 
 
 class TestMethodInfo:
@@ -293,9 +292,7 @@ class TestMethodInfo:
         either a typed sub-config field or a config-level LP knob."""
         heuristic = get_heuristic(method)
         opt_fields = {f.name for f in fields(options_class_for(method))}
-        config_level = {"warm_start", "lp_backend", "lp_engine", "share_bases"} & set(
-            heuristic.option_names
-        )
+        config_level = {"warm_start", "lp_backend"} & set(heuristic.option_names)
         assert opt_fields | config_level == set(heuristic.option_names)
 
     def test_cli_list_methods(self, capsys):

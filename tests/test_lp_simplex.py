@@ -1,20 +1,24 @@
-"""Tests for the from-scratch simplex solver (repro.lp.simplex)."""
+"""Textbook, random and paper-instance tests for the simplex engine
+(``repro.lp.revised.revised_solve``), checked against HiGHS, plus the
+scale-dependent tolerance regression pins.
+
+The LU factorization and warm-start mechanics are covered in
+test_lp_revised.py; this file pins the solver's answers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import SteadyStateProblem
 from repro.lp.builder import build_lp
+from repro.lp.revised import revised_solve
 from repro.lp.scipy_backend import solve_lp_scipy
-from repro.lp.simplex import simplex_solve
 from repro.util.errors import SolverError
 
 
 class TestBasicLPs:
     def test_textbook_max(self):
         # max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 -> 36 at (2, 6)
-        res = simplex_solve(
+        res = revised_solve(
             c=[3, 5],
             A_ub=[[1, 0], [0, 2], [3, 2]],
             b_ub=[4, 12, 18],
@@ -24,46 +28,46 @@ class TestBasicLPs:
         assert res.x == pytest.approx([2.0, 6.0])
 
     def test_degenerate_origin(self):
-        res = simplex_solve(c=[-1, -1], A_ub=[[1, 1]], b_ub=[10])
+        res = revised_solve(c=[-1, -1], A_ub=[[1, 1]], b_ub=[10])
         assert res.ok and res.value == pytest.approx(0.0)
 
     def test_unbounded_detected(self):
-        res = simplex_solve(c=[1], A_ub=np.zeros((1, 1)), b_ub=[1])
+        res = revised_solve(c=[1], A_ub=np.zeros((1, 1)), b_ub=[1])
         assert res.status == "unbounded"
 
     def test_infeasible_detected(self):
         # x >= 5 (as -x <= -5) with x <= 2.
-        res = simplex_solve(c=[1], A_ub=[[-1], [1]], b_ub=[-5, 2])
+        res = revised_solve(c=[1], A_ub=[[-1], [1]], b_ub=[-5, 2])
         assert res.status == "infeasible"
 
     def test_negative_rhs_phase1(self):
         # x >= 3 and x <= 10, maximize -x -> x = 3, value -3.
-        res = simplex_solve(c=[-1], A_ub=[[-1]], b_ub=[-3], bounds=[(0, 10)])
+        res = revised_solve(c=[-1], A_ub=[[-1]], b_ub=[-3], bounds=[(0, 10)])
         assert res.ok
         assert res.x[0] == pytest.approx(3.0)
 
     def test_upper_bounds(self):
-        res = simplex_solve(c=[1, 1], A_ub=[[1, 1]], b_ub=[100], bounds=[(0, 3), (0, 4)])
+        res = revised_solve(c=[1, 1], A_ub=[[1, 1]], b_ub=[100], bounds=[(0, 3), (0, 4)])
         assert res.ok and res.value == pytest.approx(7.0)
 
     def test_shifted_lower_bounds(self):
         # x in [2, 5], max x -> 5; min x (max -x) -> 2.
-        res = simplex_solve(c=[1], A_ub=np.zeros((0, 1)).reshape(0, 1), b_ub=[], bounds=[(2, 5)])
+        res = revised_solve(c=[1], A_ub=np.zeros((0, 1)).reshape(0, 1), b_ub=[], bounds=[(2, 5)])
         assert res.ok and res.value == pytest.approx(5.0)
-        res = simplex_solve(c=[-1], A_ub=np.zeros((0, 1)), b_ub=[], bounds=[(2, 5)])
+        res = revised_solve(c=[-1], A_ub=np.zeros((0, 1)), b_ub=[], bounds=[(2, 5)])
         assert res.ok and res.x[0] == pytest.approx(2.0)
 
     def test_infinite_lower_bound_rejected(self):
         with pytest.raises(SolverError):
-            simplex_solve(c=[1], A_ub=[[1]], b_ub=[1], bounds=[(-np.inf, 1)])
+            revised_solve(c=[1], A_ub=[[1]], b_ub=[1], bounds=[(-np.inf, 1)])
 
     def test_crossed_bounds_infeasible(self):
-        res = simplex_solve(c=[1], A_ub=[[1]], b_ub=[10], bounds=[(5, 3)])
+        res = revised_solve(c=[1], A_ub=[[1]], b_ub=[10], bounds=[(5, 3)])
         assert res.status == "infeasible"
 
     def test_shape_validation(self):
         with pytest.raises(SolverError):
-            simplex_solve(c=[1, 2], A_ub=[[1]], b_ub=[1])
+            revised_solve(c=[1, 2], A_ub=[[1]], b_ub=[1])
 
 
 class TestAgainstHiGHSRandom:
@@ -81,7 +85,7 @@ class TestAgainstHiGHSRandom:
         ub = rng.uniform(1, 10, n)
         bounds = [(0.0, float(u)) for u in ub]
 
-        ours = simplex_solve(c, A, b, bounds)
+        ours = revised_solve(c, A, b, bounds)
         assert ours.ok
 
         from scipy.optimize import linprog
@@ -97,12 +101,12 @@ class TestAgainstHiGHSRandom:
 class TestOnPaperInstances:
     @pytest.mark.parametrize("objective", ["sum", "maxmin"])
     def test_matches_highs_on_program7(self, problem_factory, objective):
-        """The stand-in for lp_solve must reproduce HiGHS on real
-        program-(7) instances (small K for the dense tableau)."""
+        """The in-repo engine must reproduce HiGHS on real program-(7)
+        instances."""
         problem = problem_factory(seed=0, n_clusters=4, objective=objective)
         inst = build_lp(problem)
         ref = solve_lp_scipy(inst)
-        ours = simplex_solve(
+        ours = revised_solve(
             inst.obj, inst.A_ub.toarray(), inst.b_ub, inst.bounds_list()
         )
         assert ours.ok
@@ -113,7 +117,7 @@ class TestOnPaperInstances:
             problem = problem_factory(seed=seed, n_clusters=3, objective="maxmin")
             inst = build_lp(problem)
             ref = solve_lp_scipy(inst)
-            ours = simplex_solve(
+            ours = revised_solve(
                 inst.obj, inst.A_ub.toarray(), inst.b_ub, inst.bounds_list()
             )
             assert ours.value == pytest.approx(ref.value, rel=1e-6, abs=1e-6)
@@ -122,13 +126,13 @@ class TestOnPaperInstances:
 class TestToleranceRegressions:
     """Regression pins for the three scale-dependent tolerance bugs.
 
-    The tableau solver used (a) an absolute ``atol=1e-12`` when
-    collecting ratio-test ties, so large-magnitude ties were missed and
-    Bland's anti-cycling tie-break ran on a truncated tie set; (b) a
-    clamp ``max(rhs, 0)`` on slightly-negative carried-basis values,
-    silently perturbing the warm starting point; and (c) an absolute
-    ``1e-7`` threshold on the phase-1 residual, misclassifying feasible
-    badly-scaled programs as infeasible.
+    Absolute thresholds misbehave on badly-scaled programs: (a) an
+    absolute tie test in the ratio test misses large-magnitude ties, so
+    Bland's anti-cycling rule runs on a truncated tie set; (b) clamping
+    slightly-negative carried-basis values perturbs the warm starting
+    point into a superoptimal answer; (c) an absolute phase-1 residual
+    threshold misclassifies feasible badly-scaled programs as
+    infeasible.
     """
 
     def test_degenerate_ties_at_large_magnitude(self):
@@ -145,9 +149,9 @@ class TestToleranceRegressions:
             [0.0, 0.0, 1.0, 0.0],
         ]
         b = [0.0, 0.0, 1.0]
-        ref = simplex_solve(c, A, b)
+        ref = revised_solve(c, A, b)
         assert ref.ok
-        scaled = simplex_solve(c, A, [s * bi for bi in b],
+        scaled = revised_solve(c, A, [s * bi for bi in b],
                                bounds=[(0, None)] * 4, max_iter=10_000)
         assert scaled.ok
         assert scaled.value == pytest.approx(s * ref.value, rel=1e-9)
@@ -158,23 +162,24 @@ class TestToleranceRegressions:
         s = 1.9e9
         A = [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 0.0]]
         b = [s, s, 2.0 * s, s]
-        res = simplex_solve([1.0, 1.0], A, b, max_iter=1000)
+        res = revised_solve([1.0, 1.0], A, b, max_iter=1000)
         assert res.ok
         assert res.value == pytest.approx(s, rel=1e-12)
 
     def test_warm_negative_basic_rejected_not_clamped(self):
         """A carried basis whose basic values go slightly negative must
-        be rejected (cold restart), not clamped onto the feasibility
-        boundary — the clamp reported a superoptimal value from an
-        infeasible starting tableau."""
+        be accepted within tolerance or repaired, never clamped onto the
+        feasibility boundary — the clamp moved the point off the rows
+        and reported a superoptimal value."""
         c = [1.0, 1.0]
         A = [[1.0, 1.0], [1.0, -1.0]]
         eps = 1e-9
         b = [2.0, 2.0 + eps]
         # Basis {x, y}: B^{-1} b = [2 + eps/2, -eps/2] — y negative.
-        res = simplex_solve(c, A, b, initial_basis=np.array([0, 1]))
+        res = revised_solve(c, A, b, initial_basis=np.array([0, 1]))
         assert res.ok
-        assert not res.warm_started  # basis rejected, not repaired
+        # Clamping y to 0 would leave row 0 violated by eps/2.
+        assert np.all(np.asarray(A) @ res.x <= np.asarray(b) + 1e-12)
         assert res.value <= 2.0 + 1e-12
         assert res.value == pytest.approx(2.0)
 
@@ -198,7 +203,7 @@ class TestToleranceRegressions:
         inst.ub *= scale
         inst.invalidate_bounds()
         ref = solve_lp_scipy(inst)
-        ours = simplex_solve(
+        ours = revised_solve(
             inst.obj, inst.A_ub.toarray(), inst.b_ub, inst.bounds_list()
         )
         assert ours.ok

@@ -163,6 +163,27 @@ def test_solve_validation_errors(client):
     assert (
         client.post("/solve", {"scenario": "calibrated"}).status == 400
     )  # sweep scenario on the solve endpoint
+    for config, message in BAD_CONFIGS:
+        response = client.post("/solve", {"scenario": "das2", "config": config})
+        assert response.status == 400, config
+        assert message in response.json()["error"], config
+
+
+#: invalid request configs (including the retired ``lp_engine``,
+#: ``share_bases`` and ``lp_backend="auto"``) and a fragment of the
+#: config validation message each must be answered with
+BAD_CONFIGS = [
+    ({"jobs": 0}, "jobs must be >= 1"),
+    ({"method": "nope"}, "nope"),
+    ({"lpengine": "x"}, "unknown option 'lpengine'"),
+    ({"lp_bakend": "scipy"}, "did you mean 'lp_backend'?"),
+    ({"lp_backend": "bogus"}, "lp_backend must be one of"),
+    ({"options": {"zzz": 1}}, "unknown option 'zzz'"),
+    ({"lp_engine": "revised"}, "unknown option 'lp_engine'"),
+    ({"share_bases": True}, "unknown option 'share_bases'"),
+    ({"lp_backend": "auto"}, "lp_backend must be one of"),
+    ({"jobs": "two"}, "invalid config"),
+]
 
 
 def test_async_solve_job(client):
@@ -303,6 +324,10 @@ def test_sweep_validation_errors(client):
         "/sweep", {**SWEEP_BODY, "settings": [{"K": 4}]}
     )
     assert bad_setting.status == 400
+    for config, message in BAD_CONFIGS:
+        response = client.post("/sweep", {**SWEEP_BODY, "config": config})
+        assert response.status == 400, config
+        assert message in response.json()["error"], config
 
 
 def test_start_rejects_non_held_jobs(client):
