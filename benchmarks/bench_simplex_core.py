@@ -2,7 +2,8 @@
 
 In the revised engine (``repro/lp/revised.py`` over
 ``repro/lp/basis_lu.py``) warm re-solves ride one persistent LU
-factorization (eta updates + periodic refactorization) and a carried
+factorization of the basis' structural kernel (slack columns
+eliminated; eta updates + periodic refactorization) and a carried
 bounded-variable basis, so the session path is supposed to beat a cold
 HiGHS solve per step at every instance size on this ladder. This benchmark is the
 regression gate for that core, on the two chain shapes that matter:
@@ -12,7 +13,8 @@ regression gate for that core, on the two chain shapes that matter:
   reference (``lp_backend="scipy"``) in wall-clock at every K — the
   sizes here start past 200 columns + rows, where a dense O(m·n)
   per-pivot rewrite would lose — while producing valid, LP-bounded
-  allocations.
+  allocations. The ladder runs K = 8, 12, 20 (full scale: 8, 12, 16,
+  20), which still stops short of the paper grid's K >= 25.
 * **Branch-and-bound re-solve chains** (one beta bound flipped per
   node, dual-simplex repair of the parent basis): warm-session B&B must
   agree with the cold-HiGHS-per-node reference on the optimum and beat
@@ -128,7 +130,7 @@ def _sweep(lprr_k, bnb_k, seeds) -> dict:
 
 
 def test_simplex_core_regression(benchmark):
-    lprr_k = (8, 12, 16) if full_scale() else (8, 12)
+    lprr_k = (8, 12, 16, 20) if full_scale() else (8, 12, 20)
     bnb_k = (4, 5)
     seeds = range(2)
     data = benchmark.pedantic(

@@ -7,8 +7,9 @@
   (``scipy.optimize.linprog``);
 * :mod:`repro.lp.revised` over :mod:`repro.lp.basis_lu` is the
   repo's one simplex engine, the stand-in for the paper's ``lp_solve``
-  package: a bounded-variable *revised* simplex with an LU-factorized
-  basis, eta updates + periodic refactorization, a dual-simplex
+  package: a bounded-variable *revised* simplex whose basis LU
+  factorizes only the structural kernel (slack columns eliminated),
+  eta updates + periodic refactorization, a dual-simplex
   re-solve mode for carried bases, and canonical-vertex selection so
   warm and cold solves of the same program report the same optimal
   vertex. HiGHS stays the independent oracle it is tested against and

@@ -1,37 +1,59 @@
-"""LU-factorized simplex basis with product-form eta updates.
+"""LU-factorized simplex basis: slack-eliminated kernel + eta updates.
 
 The revised simplex (:mod:`repro.lp.revised`) never forms ``B^{-1}``:
 every iteration needs one FTRAN (solve ``B x = v``) and one BTRAN
 (solve ``B^T y = v``), and every pivot replaces exactly one basis
-column. :class:`LUBasis` supports exactly that access pattern:
+column. :class:`LUBasis` supports exactly that access pattern.
 
-* a **base factorization** ``B_0 = P L U`` (``scipy.linalg.lu_factor``)
-  taken when the basis is loaded and periodically thereafter;
-* **product-form eta updates** for pivots: after column ``a_q`` replaces
-  basic position ``r``, with ``w = B_k^{-1} a_q`` (the FTRAN of the
-  entering column, which the simplex computes anyway for its ratio
-  test), ``B_{k+1}^{-1} = E_k B_k^{-1}`` where the elementary matrix
-  ``E_k`` is the identity except for column ``r`` — so an update is
-  O(m) storage and each later solve applies the eta in O(m);
-* **periodic refactorization**: the eta file is discarded and ``B`` is
-  refactorized from scratch every :attr:`refactor_every` updates (the
-  classical Bartels–Golub/Forrest–Tomlin compromise: eta files grow
-  and accumulate roundoff, so bounded-length files keep both the work
-  per solve and the error bounded), or eagerly whenever a pivot
-  element is too small for a stable eta.
+**Kernel elimination.** Most basic columns of a program-(7) basis are
+slack unit vectors (about 60% at K = 10), and a unit column needs no
+factorization. Let ``S`` be the structural basic columns and ``R`` the
+rows whose slack is *not* basic; a nonsingular basis has
+``|R| == |S| == k``. Ordering rows ``(R, other)`` and columns
+``(S, slacks)`` puts ``B`` in block-triangular form::
+
+    B ~ [ K  0 ]      K = A[R, S]       (k x k, the structural kernel)
+        [ C  I ]      C = A[other, S]   (rows with a basic slack)
+
+so only ``K`` is factorized, and the two solves reduce to
+
+* FTRAN: ``x_S = K^{-1} v_R``, then ``x_slack = v_other - C x_S``;
+* BTRAN: ``y_other = c_slack``, then ``y_R = K^{-T} (c_S - C^T c_slack)``.
+
+A factorization costs O(k^3) instead of O(m^3), and an FTRAN or BTRAN
+costs O(k^2 + (m - k) k) instead of O(m^2). The all-slack basis
+(``k = 0``) needs no LAPACK call at all; the all-structural one
+(``k = m``) is the plain dense LU.
+
+**Direct LAPACK.** ``K = P L U`` comes from LAPACK ``getrf`` and the
+solves from ``getrs``, resolved once at import: the same kernels
+``scipy.linalg.lu_factor``/``lu_solve`` call (bitwise the same
+results), without their per-call argument checking and array
+conversion, which dominate at these sizes.
+
+**Updates.** A pivot is a *product-form eta update*: after column
+``a_q`` replaces basic position ``r``, with ``w = B_k^{-1} a_q`` (the
+FTRAN of the entering column, which the simplex computes anyway for its
+ratio test), ``B_{k+1}^{-1} = E_k B_k^{-1}`` where the elementary matrix
+``E_k`` is the identity except for column ``r`` — an update is O(m)
+storage and each later solve applies the eta in O(m). The eta file is
+discarded and ``B`` refactorized from scratch every
+:attr:`refactor_every` updates (bounded-length files keep both the work
+per solve and the roundoff bounded), or eagerly whenever a pivot
+element is too small for a stable eta.
 
 The column convention matches the bounded revised simplex: columns
 ``[0, n)`` are the structural columns of a dense ``A``; columns
 ``[n, n + m)`` are slack identity columns (coefficient ``+1`` in their
-row), so ``B`` is assembled without materialising ``[A | I]``.
+row), so ``[A | I]`` is never materialised.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
+
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 #: an eta pivot element smaller than this (relative to the eta column's
 #: magnitude) triggers an eager refactorization instead of an update
@@ -47,7 +69,7 @@ class SingularBasisError(Exception):
 
 
 class LUBasis:
-    """One simplex basis: LU base factorization + eta update file.
+    """One simplex basis: kernel LU base factorization + eta update file.
 
     Parameters
     ----------
@@ -78,39 +100,37 @@ class LUBasis:
         self.refactor_every = int(refactor_every)
         #: eta file: (pivot row r, eta column w = B^{-1} a_entering)
         self._etas: "list[tuple[int, np.ndarray]]" = []
-        #: lifetime counters (surfaced in session stats / benchmarks)
+        #: lifetime counters (a solve reports its own share of them)
         self.n_refactor = 0
         self.n_updates = 0
         self._factorize()
 
     # ------------------------------------------------------------------
-    def _basis_matrix(self) -> np.ndarray:
-        """Assemble the dense ``m x m`` basis matrix."""
-        B = np.empty((self._m, self._m))
-        struct = self.basis < self._n
-        if np.any(struct):
-            B[:, struct] = self._A[:, self.basis[struct]]
-        slack = np.nonzero(~struct)[0]
-        if slack.size:
-            B[:, slack] = 0.0
-            B[self.basis[slack] - self._n, slack] = 1.0
-        return B
-
     def _factorize(self) -> None:
-        """(Re)factorize the current basis; drops the eta file."""
-        B = self._basis_matrix()
-        try:
-            with warnings.catch_warnings():
-                # lu_factor warns on exact singularity; the diagonal
-                # check below turns that into SingularBasisError anyway
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, piv = scipy.linalg.lu_factor(B, check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularBasisError(str(exc)) from exc
-        diag = np.abs(np.diag(lu))
-        if self._m and (not np.all(np.isfinite(lu)) or diag.min() <= _SINGULAR_TOL * max(1.0, diag.max())):
-            raise SingularBasisError("basis matrix is numerically singular")
-        self._lu = (lu, piv)
+        """(Re)factorize the current basis' kernel; drops the eta file."""
+        basis = self.basis
+        slack = basis >= self._n
+        pos_s = (~slack).nonzero()[0]
+        pos_l = slack.nonzero()[0]
+        rows_l = basis[pos_l] - self._n
+        free = np.ones(self._m, dtype=bool)
+        free[rows_l] = False
+        rows_r = free.nonzero()[0]
+        if rows_r.size != pos_s.size:
+            # a repeated slack leaves more free rows than structurals
+            raise SingularBasisError("basis repeats a slack column")
+        if pos_s.size:
+            cols = basis[pos_s]
+            lu, piv, info = _getrf(self._A[rows_r][:, cols], overwrite_a=1)
+            if info != 0:
+                raise SingularBasisError(f"getrf failed (info={info})")
+            diag = np.abs(lu.diagonal())
+            if not np.isfinite(lu).all() or diag.min() <= _SINGULAR_TOL * max(1.0, diag.max()):
+                raise SingularBasisError("basis matrix is numerically singular")
+            self._lu, self._piv = lu, piv
+            self._C = self._A[rows_l][:, cols]
+        self._pos_s, self._pos_l = pos_s, pos_l
+        self._rows_r, self._rows_l = rows_r, rows_l
         self._etas = []
         self.n_refactor += 1
 
@@ -147,7 +167,13 @@ class LUBasis:
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         """Solve ``B x = v`` (``v`` is not modified)."""
-        x = scipy.linalg.lu_solve(self._lu, v, check_finite=False)
+        x = np.empty(self._m)
+        v_l = v[self._rows_l]
+        if self._pos_s.size:
+            x_s = _getrs(self._lu, self._piv, v[self._rows_r], overwrite_b=1)[0]
+            x[self._pos_s] = x_s
+            v_l -= self._C @ x_s
+        x[self._pos_l] = v_l
         for r, w in self._etas:
             t = x[r] / w[r]
             if t != 0.0:
@@ -157,11 +183,19 @@ class LUBasis:
 
     def btran(self, v: np.ndarray) -> np.ndarray:
         """Solve ``B^T y = v`` (``v`` is not modified)."""
-        y = np.array(v, dtype=float, copy=True)
+        c = np.array(v, dtype=float, copy=True)
         for r, w in reversed(self._etas):
-            yr = y[r]
-            y[r] = (yr - (w @ y - w[r] * yr)) / w[r]
-        return scipy.linalg.lu_solve(self._lu, y, trans=1, check_finite=False)
+            cr = c[r]
+            c[r] = (cr - (w @ c - w[r] * cr)) / w[r]
+        y = np.empty(self._m)
+        c_l = c[self._pos_l]
+        y[self._rows_l] = c_l
+        if self._pos_s.size:
+            rhs = c[self._pos_s] - c_l @ self._C
+            y[self._rows_r] = _getrs(
+                self._lu, self._piv, rhs, trans=1, overwrite_b=1
+            )[0]
+        return y
 
     # ------------------------------------------------------------------
     def replace_column(self, r: int, j: int, w: "np.ndarray | None" = None) -> None:

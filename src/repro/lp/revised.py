@@ -10,9 +10,13 @@ works on the original data, with no extra rows for upper bounds:
   and a pivot that only drives the entering variable to its opposite
   bound is a bound flip (no basis change at all);
 * each iteration prices with one BTRAN and one FTRAN against the
-  LU-factorized basis (:class:`repro.lp.basis_lu.LUBasis`), so a pivot
-  costs O(m^2 + m·n) flops, and the factorization is carried across
-  pivots by product-form eta updates with periodic refactorization;
+  LU-factorized basis (:class:`repro.lp.basis_lu.LUBasis`), which
+  factorizes only the k x k structural kernel of the basis (slack
+  columns are eliminated), so a pivot costs O(k^2 + m·n) flops —
+  O(m·k) for the two triangular solves and their slack
+  back-substitution, O(m·n) for pricing against the dense ``A`` — plus
+  O(m) per eta; the factorization is carried across pivots by
+  product-form eta updates with periodic O(k^3) refactorization;
 * **primal** iterations (Dantzig pricing, Bland's rule engaged after a
   degenerate stall) solve from a primal-feasible basis; **dual**
   iterations re-solve from a dual-feasible one — the warm-start case
@@ -80,7 +84,9 @@ class RevisedResult:
     ``initial_basis``/``initial_at_upper`` to warm-start a re-solve of a
     nearby LP. ``warm_started`` records whether the carried basis was
     usable; ``dual_steps`` counts dual-simplex iterations (> 0 means the
-    carried basis was repaired dual-feasibly, no phase-1 restart).
+    carried basis was repaired dual-feasibly, no phase-1 restart);
+    ``refactorizations`` counts the basis factorizations this call
+    performed (an adopted ``initial_lu`` brings none of its own).
     """
 
     status: str
@@ -119,6 +125,10 @@ class _Program:
         self.iterations = 0
         self.dual_steps = 0
         self.lu: "LUBasis | None" = None
+        #: ``lu.n_refactor`` when ``lu`` was taken over, and the
+        #: factorizations of bases this solve already dropped
+        self._lu_base = 0
+        self._dropped_refactor = 0
         self.vstat = np.full(n_cols, _AT_LOWER, dtype=np.int8)
         # scale-aware feasibility slack: program-(7) capacities span
         # orders of magnitude, so feasibility is judged relative to the
@@ -131,22 +141,39 @@ class _Program:
         )
 
     # -- linear algebra helpers ---------------------------------------
+    def set_lu(self, lu: "LUBasis | None", adopted: bool = False) -> None:
+        """Switch to factorization ``lu`` (``None`` drops the current one).
+
+        The factorizations an ``adopted`` basis carries in belong to
+        earlier solves and are not counted in :attr:`refactorizations`.
+        """
+        self._dropped_refactor = self.refactorizations
+        self._lu_base = lu.n_refactor if adopted else 0
+        self.lu = lu
+
+    @property
+    def refactorizations(self) -> int:
+        """Factorizations performed during this solve only."""
+        live = self.lu.n_refactor - self._lu_base if self.lu is not None else 0
+        return self._dropped_refactor + live
+
     def load_basis(self, basis: np.ndarray) -> bool:
         """Factorize ``basis``; False when singular."""
         try:
-            self.lu = LUBasis(self.A, basis)
+            lu = LUBasis(self.A, basis)
         except SingularBasisError:
-            self.lu = None
+            self.set_lu(None)
             return False
+        self.set_lu(lu)
         self.vstat[self.vstat == _BASIC] = _AT_LOWER
         self.vstat[basis] = _BASIC
         return True
 
     def adopt_basis(self, lu: LUBasis) -> None:
         """Take over a still-valid factorization from a previous solve."""
+        self.set_lu(lu, adopted=True)
         if lu.updates_since_refactor:  # pragma: no cover - defensive
             lu.refactorize()
-        self.lu = lu
         self.vstat[self.vstat == _BASIC] = _AT_LOWER
         self.vstat[lu.basis] = _BASIC
 
@@ -456,7 +483,7 @@ def _finish(
             p.lu.refactorize()
         except SingularBasisError:  # pragma: no cover - defensive
             status = "numerical"
-    refactor = p.lu.n_refactor if p.lu is not None else 0
+    refactor = p.refactorizations
     if status != "optimal":
         return RevisedResult(
             status=status,
@@ -638,7 +665,7 @@ def revised_solve(
                 return _finish(p, status, warm=True, canon=canon_weights)
         # carried basis is unusable / singular / stale (violations point
         # to a wholesale rewrite) / not dual-feasible: cold start
-        p.lu = None
+        p.set_lu(None)
         p.vstat[:] = _AT_LOWER
 
     # -- cold start: all-slack basis at the lower-bound vertex ---------

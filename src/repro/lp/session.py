@@ -105,7 +105,9 @@ class SessionStats:
     basis was accepted (phase 1 skipped); ``dual_steps`` the subset of
     pivots taken by the revised engine's dual simplex (carried-basis
     repairs after bound/RHS edits); ``n_fallback`` counts HiGHS rescues
-    after an iteration-limited or numerically stuck simplex run.
+    after an iteration-limited or numerically stuck simplex run;
+    ``refactorizations`` counts basis LU factorizations: load-time,
+    periodic, eager, and the final one after a solve that pivoted.
     """
 
     n_solves: int = 0
@@ -114,6 +116,7 @@ class SessionStats:
     n_fallback: int = 0
     iterations: int = 0
     dual_steps: int = 0
+    refactorizations: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -366,6 +369,7 @@ class LPSession:
         )
         self.stats.dual_steps += res.dual_steps
         self.stats.iterations += res.iterations
+        self.stats.refactorizations += res.refactorizations
         self.stats.n_cold += 1
         if res.status == "infeasible":
             raise InfeasibleError("LP infeasible (cold simplex)")
@@ -416,6 +420,7 @@ class LPSession:
         )
         self.stats.iterations += res.iterations
         self.stats.dual_steps += res.dual_steps
+        self.stats.refactorizations += res.refactorizations
         if res.warm_started:
             self.stats.n_warm += 1
         else:

@@ -179,6 +179,14 @@ class SolverService:
             "repro_lp_iterations_total",
             help="Simplex iterations spent across all solve reports.",
         )
+        self._lp_refactorizations = self.metrics.counter(
+            "repro_lp_refactorizations_total",
+            help="Simplex basis LU factorizations across all solve reports.",
+        )
+        self._lp_fallbacks = self.metrics.counter(
+            "repro_lp_fallbacks_total",
+            help="HiGHS rescues of stuck simplex runs across all solve reports.",
+        )
         self.broker = JobEventBroker()
         self.executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-job"
@@ -285,9 +293,14 @@ class SolverService:
         """Fold one finished report into the service counters."""
         self._solves_counter.inc()
         lp_stats = report.lp_stats or {}
-        iterations = int(lp_stats.get("iterations", 0))
-        if iterations > 0:
-            self._lp_iterations.inc(iterations)
+        for counter, key in (
+            (self._lp_iterations, "iterations"),
+            (self._lp_refactorizations, "refactorizations"),
+            (self._lp_fallbacks, "n_fallback"),
+        ):
+            count = int(lp_stats.get(key, 0))
+            if count > 0:
+                counter.inc(count)
 
     def _traced_call(self, job_id: str, fn, *args, **kwargs):
         """Run ``fn`` under a fresh per-job tracer; retain its trees."""

@@ -8,11 +8,21 @@ solver and factorization directly.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
+from repro.core.problem import SteadyStateProblem
+from repro.experiments.config import (
+    DEFAULT_SCENARIO,
+    payoffs_for,
+    sample_settings,
+    spec_for,
+)
 from repro.lp.basis_lu import LUBasis, SingularBasisError
 from repro.lp.builder import build_lp
 from repro.lp.revised import revised_solve
 from repro.lp.scipy_backend import solve_lp_scipy
+from repro.platform.generator import generate_platform
 from repro.util.errors import SolverError
 
 
@@ -89,6 +99,131 @@ class TestLUBasis:
         other = basis.copy()
         other[0] = [c for c in range(A.shape[1]) if c not in set(basis)][0]
         assert not lu.matches(A, other)
+
+
+def _assembled(A, basis):
+    """The explicit dense basis matrix ``[A | I][:, basis]``."""
+    m, n = A.shape
+    return np.column_stack(
+        [A[:, j] if j < n else np.eye(m)[:, j - n] for j in basis]
+    )
+
+
+def _relative_residual(M, x, v):
+    """Backward error of ``M x = v``: ``|M x - v| / (|M| |x| + |v|)``."""
+    scale = np.abs(M).sum(axis=1).max() * np.abs(x).max() + np.abs(v).max()
+    return float(np.abs(M @ x - v).max() / max(scale, 1e-300))
+
+
+@st.composite
+def sparse_bases(draw):
+    """A random sparse ``A`` (m <= 30) and a basis with 0..m structural
+    columns, its structural kernel planted well away from singular."""
+    m = draw(st.integers(min_value=1, max_value=30))
+    n = draw(st.integers(min_value=1, max_value=30))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4]))
+    k = draw(st.integers(min_value=0, max_value=min(m, n)))
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < density)
+    rows = rng.permutation(m)[:k]
+    cols = rng.permutation(n)[:k]
+    A[rows, cols] = rng.choice([-1.0, 1.0], size=k) * (2.0 + rng.random(k))
+    slacks = n + np.setdiff1d(np.arange(m), rows)
+    basis = rng.permutation(np.concatenate([cols, slacks]))
+    return A, basis, rng
+
+
+class TestLUBasisKernelProperty:
+    """FTRAN/BTRAN of the slack-eliminated kernel agree with the
+    explicitly assembled basis, through any ``replace_column`` chain."""
+
+    @staticmethod
+    def _check_solves(lu, A, rng):
+        B = _assembled(A, lu.basis)
+        v = rng.normal(size=A.shape[0])
+        assert _relative_residual(B, lu.ftran(v), v) <= 1e-9
+        assert _relative_residual(B.T, lu.btran(v), v) <= 1e-9
+
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(
+        system=sparse_bases(),
+        refactor_every=st.integers(min_value=1, max_value=8),
+        n_pivots=st.integers(min_value=0, max_value=12),
+    )
+    def test_solves_track_the_assembled_basis(self, system, refactor_every, n_pivots):
+        A, basis, rng = system
+        m, n = A.shape
+        if np.linalg.cond(_assembled(A, basis)) > 1e8:
+            return  # the planted kernel met an unlucky fill-in
+        lu = LUBasis(A, basis, refactor_every=refactor_every)
+        self._check_solves(lu, A, rng)
+        for _ in range(n_pivots):
+            r = int(rng.integers(m))
+            j = int(rng.choice(np.setdiff1d(np.arange(n + m), lu.basis)))
+            w = lu.ftran(lu.column(j))
+            if abs(w[r]) < 1e-3 * max(1.0, float(np.abs(w).max())):
+                continue  # would leave a near-singular basis
+            trial = lu.basis.copy()
+            trial[r] = j
+            if np.linalg.cond(_assembled(A, trial)) > 1e8:
+                continue
+            lu.replace_column(r, j, w)
+            assert np.array_equal(lu.basis, trial)
+            assert lu.updates_since_refactor <= refactor_every
+            self._check_solves(lu, A, rng)
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(system=sparse_bases(), zero=st.booleans())
+    def test_duplicated_or_zero_structural_column_is_singular(self, system, zero):
+        A, basis, _ = system
+        n = A.shape[1]
+        struct = np.nonzero(basis < n)[0]
+        if zero:
+            if struct.size == 0:
+                return
+            A = A.copy()
+            A[:, basis[struct[0]]] = 0.0
+        else:
+            slack = np.nonzero(basis >= n)[0]
+            if struct.size == 0 or slack.size == 0:
+                return
+            # a structural column basic twice, displacing one slack
+            basis = basis.copy()
+            basis[slack[0]] = basis[struct[0]]
+        with pytest.raises(SingularBasisError):
+            LUBasis(A, basis)
+
+    def test_all_slack_kernel(self):
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(6, 4))
+        basis = 4 + rng.permutation(6)
+        lu = LUBasis(A, basis)
+        v = rng.normal(size=6)
+        np.testing.assert_array_equal(lu.ftran(v), v[basis - 4])
+        y = np.empty(6)
+        y[basis - 4] = v
+        np.testing.assert_array_equal(lu.btran(v), y)
+
+    def test_all_structural_kernel(self):
+        rng = np.random.default_rng(1)
+        A = rng.normal(size=(6, 9))
+        basis = rng.permutation(9)[:6]
+        lu = LUBasis(A, basis)
+        self._check_solves(lu, A, rng)
+        # pivot a slack in, then the structural back out again
+        w = lu.ftran(lu.column(9 + 2))
+        r = int(np.argmax(np.abs(w)))
+        leaving = int(lu.basis[r])
+        lu.replace_column(r, 9 + 2, w)
+        self._check_solves(lu, A, rng)
+        lu.replace_column(r, leaving)
+        self._check_solves(lu, A, rng)
+
+    def test_repeated_slack_is_singular(self):
+        A = np.eye(3)
+        with pytest.raises(SingularBasisError):
+            LUBasis(A, np.array([3, 3, 0]))
 
 
 class TestRevisedBasics:
@@ -228,6 +363,31 @@ class TestRevisedWarmStart:
         assert again.lu is first.lu
         assert again.iterations == 0
 
+    def test_refactorizations_count_this_solve_only(self):
+        c, A, b, bounds = self._lp()
+        first = revised_solve(c, A, b, bounds)
+        assert first.ok and first.refactorizations >= 1
+        # An adopted factorization is not re-counted by the next solve.
+        again = revised_solve(c, A, b, bounds,
+                              initial_basis=first.basis,
+                              initial_at_upper=first.at_upper,
+                              initial_lu=first.lu)
+        assert again.lu is first.lu
+        assert again.refactorizations == 0
+        # A warm solve that pivots (pinning a basic variable ejects
+        # it) counts its own factorizations only.
+        before = first.lu.n_refactor
+        var = int([j for j in first.basis if j < 3][0])
+        lb, ub = bounds[0].copy(), bounds[1].copy()
+        lb[var] = ub[var] = float(np.floor(first.x[var]))
+        third = revised_solve(c, A, b, (lb, ub),
+                              initial_basis=first.basis,
+                              initial_at_upper=first.at_upper,
+                              initial_lu=first.lu)
+        assert third.ok and third.warm_started and third.iterations > 0
+        assert third.lu is first.lu
+        assert third.refactorizations == third.lu.n_refactor - before >= 1
+
     def test_stale_lu_is_ignored(self):
         c, A, b, bounds = self._lp()
         first = revised_solve(c, A, b, bounds)
@@ -306,3 +466,62 @@ class TestOnPaperInstances:
             inst.invalidate_bounds()
             ref = solve_lp_scipy(inst)
             assert res.value == pytest.approx(ref.value, rel=1e-7, abs=1e-7)
+
+
+class TestDualityCertificate:
+    """Solver-free optimality check of cold optima on paper-grid
+    instances: the duals come from the kernel's own BTRAN, and every
+    condition below is checked with plain numpy."""
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("objective", ["maxmin", "sum"])
+    @pytest.mark.parametrize("k", [10, 20])
+    def test_cold_optimum_carries_a_dual_certificate(self, k, objective, pinned):
+        (setting,) = sample_settings(1, rng=k, k_values=[k])
+        rng = np.random.default_rng([k, len(objective)])
+        problem = SteadyStateProblem(
+            generate_platform(spec_for(setting, DEFAULT_SCENARIO), rng=rng),
+            payoffs_for(setting, DEFAULT_SCENARIO, rng),
+            objective=objective,
+        )
+        inst = build_lp(problem)
+        A = inst.A_ub.toarray()
+        m, n = A.shape
+        res = revised_solve(inst.obj, A, inst.b_ub, (inst.lb, inst.ub))
+        if pinned:
+            # fix the routed betas at their floors (as LPRR does) and
+            # every other used alpha at half its value, so fixed columns
+            # rest at nonzero values with nonzero reduced costs
+            betas = np.arange(inst.index.n_alpha, n)
+            betas = betas[np.isfinite(inst.ub[betas]) & (res.x[betas] >= 1.0)]
+            alphas = np.arange(inst.index.n_alpha)
+            alphas = alphas[res.x[alphas] > 0][::2]
+            assert betas.size and alphas.size
+            inst.lb[betas] = inst.ub[betas] = np.floor(res.x[betas])
+            inst.lb[alphas] = inst.ub[alphas] = 0.5 * res.x[alphas]
+            inst.invalidate_bounds()
+            res = revised_solve(inst.obj, A, inst.b_ub, (inst.lb, inst.ub))
+        assert res.ok and not res.warm_started
+
+        c_ext = np.concatenate([inst.obj, np.zeros(m)])
+        y = res.lu.btran(c_ext[res.basis])
+        scale = max(1.0, float(np.abs(inst.obj).max()))
+        tol = 1e-9 * scale
+        assert y.min() >= -tol  # rows are <=, objective maximised
+
+        d = inst.obj - y @ A
+        nonbasic = np.ones(n, dtype=bool)
+        nonbasic[res.basis[res.basis < n]] = False
+        free = nonbasic & (inst.lb < inst.ub)
+        at_upper = res.at_upper[:n]
+        assert np.all(d[free & ~at_upper] <= tol)
+        assert np.all(d[free & at_upper] >= -tol)
+        assert np.all(np.abs(d[~nonbasic]) <= tol)
+
+        primal = float(inst.obj @ res.x)
+        bound_term = float(d[nonbasic] @ res.x[nonbasic])
+        assert (abs(bound_term) > 1e-3) == pinned
+        assert abs(primal - (inst.b_ub @ y + bound_term)) <= 1e-9 * max(1.0, abs(primal))
+        assert res.value == pytest.approx(
+            solve_lp_scipy(inst).value, rel=1e-7, abs=1e-7
+        )

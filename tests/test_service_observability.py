@@ -86,25 +86,36 @@ class TestMetricsEndpoint:
             "repro_jobs{",
             "repro_solves_total",
             "repro_lp_iterations_total",
+            "repro_lp_refactorizations_total",
+            "repro_lp_fallbacks_total",
             "repro_requests_total",
             "repro_request_seconds_bucket",
         ):
             assert family in text, family
 
-    def test_lp_iterations_accumulate_across_solves(self, client):
-        def iterations():
-            text = client.get("/metrics").body.decode()
-            (line,) = [
-                l for l in text.splitlines()
-                if l.startswith("repro_lp_iterations_total ")
-            ]
-            return int(line.split()[1])
+    @staticmethod
+    def _sample(client, family):
+        text = client.get("/metrics").body.decode()
+        (line,) = [l for l in text.splitlines() if l.startswith(family + " ")]
+        return int(line.split()[1])
 
+    def test_lp_iterations_accumulate_across_solves(self, client):
         assert client.post("/solve", SOLVE_BODY).status == 200
-        first = iterations()
+        first = self._sample(client, "repro_lp_iterations_total")
         assert first > 0
         assert client.post("/solve", SOLVE_BODY).status == 200
-        assert iterations() == 2 * first  # same instance, warm or not
+        # same instance, warm or not
+        assert self._sample(client, "repro_lp_iterations_total") == 2 * first
+
+    def test_lp_refactorizations_and_fallbacks_follow_the_reports(self, client):
+        reports = [
+            client.post("/solve", SOLVE_BODY).json()["report"] for _ in range(2)
+        ]
+        stats = [r["lp_stats"] for r in reports]
+        refactor = self._sample(client, "repro_lp_refactorizations_total")
+        assert refactor == sum(s["refactorizations"] for s in stats) > 0
+        fallbacks = self._sample(client, "repro_lp_fallbacks_total")
+        assert fallbacks == sum(s["n_fallback"] for s in stats)
 
     def test_job_gauges_reflect_the_store(self, client):
         job = client.post("/sweep", SWEEP_BODY).json()["job"]
